@@ -27,13 +27,20 @@ and any chunk size.
 
 Eligibility (:func:`batch_execution` returns ``None`` otherwise):
 
-* the failure model is history-oblivious (``requires_history`` False)
-  and answers ``True`` from ``supports_batch(model)`` — fault-free,
-  omission (scalar ``p`` or per-node ``p_v``), and malicious models
-  whose adversary *certifies* the enforced restriction level for
-  batched execution (``Adversary.batch_restrictions``; see
+* the failure model answers ``True`` from ``supports_batch(model)`` —
+  fault-free, omission (scalar ``p`` or per-node ``p_v``), and
+  malicious models whose adversary *certifies* the enforced
+  restriction level for batched execution
+  (``Adversary.batch_restrictions``; see
   :mod:`repro.failures.adversaries` — incl. LIMITED/FLIP levels and
   slowing wrappers around randomness-free inners);
+* the failure model is history-oblivious (``requires_history``
+  False), or its ``batch_twin`` supplies a counterfactual twin
+  program — the Theorem 2.3 equalizing adversary
+  (:class:`~repro.failures.equalizing.EqualizingMpAdversary`, plain or
+  slowed) over algorithms with ``counterfactual_batch_program``.  The
+  twin is reset and advanced with the real program on the same
+  deliveries, and its intents reach the rewrite as ``twin``;
 * the scenario's flip-closed payload alphabet passes the model's
   ``supports_batch_payloads`` check (the FLIP restriction demands an
   all-bit alphabet, matching the scalar engine's enforcement);
@@ -79,12 +86,14 @@ class BatchExecution:
 
     def __init__(self, algorithm: Algorithm, failure_model: FailureModel,
                  program: BatchProgram, codec: PayloadCodec,
-                 expected_code: Optional[int]):
+                 expected_code: Optional[int],
+                 twin: Optional[BatchProgram] = None):
         self._algorithm = algorithm
         self._failure_model = failure_model
         self._program = program
         self._codec = codec
         self._expected_code = expected_code
+        self._twin = twin
 
     @property
     def algorithm(self) -> Algorithm:
@@ -140,6 +149,7 @@ class BatchExecution:
         topology = algorithm.topology
         rounds = algorithm.rounds
         program = self._program
+        twin = self._twin
         streams = [
             RngStream(derive_seed(root_seed, "mc", index), ("mc", index))
             for index in range(start, stop)
@@ -148,6 +158,8 @@ class BatchExecution:
             streams, rounds, topology.order
         )
         program.reset(stop - start)
+        if twin is not None:
+            twin.reset(stop - start)
         radio = algorithm.model != MESSAGE_PASSING
         targets = None if radio else program.mp_targets()
         for round_index in range(rounds):
@@ -155,6 +167,7 @@ class BatchExecution:
             actual = self._failure_model.apply_batch(
                 round_index, masks[:, round_index, :], intents, self._codec,
                 algorithm.model,
+                twin=None if twin is None else twin.intent_codes(round_index),
             )
             if radio:
                 heard_from = deliver_radio_batch(topology, actual != SILENCE)
@@ -168,6 +181,10 @@ class BatchExecution:
             else:
                 received = deliver_mp_batch(topology, actual, targets)
             program.observe(round_index, received)
+            if twin is not None:
+                # Only the twin's source column is read, and it folds
+                # exactly what the real source heard.
+                twin.observe(round_index, received)
         outputs = program.output_codes()
         return (outputs == self._expected_code).all(axis=1)
 
@@ -181,8 +198,6 @@ def batch_execution(algorithm: Algorithm, failure_model: FailureModel,
     eligibility envelope (see the module docstring) and the caller
     should fall back to scalar engine trials.
     """
-    if failure_model.requires_history:
-        return None
     if not failure_model.supports_batch(algorithm.model):
         return None
     payload_hook = getattr(algorithm, "batch_payloads", None)
@@ -206,11 +221,15 @@ def batch_execution(algorithm: Algorithm, failure_model: FailureModel,
         return None  # unhashable payloads: leave the scenario to the engine
     if not failure_model.supports_batch_payloads(codec.payloads):
         return None
+    # History reaches the batched rewrite only through a twin program.
+    twin = failure_model.batch_twin(algorithm, codec, metadata)
+    if failure_model.requires_history and twin is None:
+        return None
     program = program_hook(codec)
     if program is None:
         return None
     return BatchExecution(
-        algorithm, failure_model, program, codec, expected_code
+        algorithm, failure_model, program, codec, expected_code, twin=twin
     )
 
 

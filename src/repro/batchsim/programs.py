@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -374,16 +374,20 @@ def _initial_codes(order: int, source: int, message_code: int) -> np.ndarray:
     return codes
 
 
-def lift_tree_phase(algorithm, codec: PayloadCodec,
-                    adoption: str) -> ScheduleLift:
+def lift_tree_phase(algorithm, codec: PayloadCodec, adoption: str,
+                    source_message: Any = None) -> ScheduleLift:
     """Replay a :class:`~repro.core.tree_phase.PhaseSchedule` timetable.
 
     Covers Simple-Omission (``first``) and Simple-Malicious
     (``majority``) in both models: node ``v_i`` transmits its current
     value throughout its own phase (message passing: only to its tree
     children, and not at all when it has none) and listens throughout
-    its parent's phase.
+    its parent's phase.  ``source_message`` overrides the algorithm's
+    ``Ms`` — the counterfactual twin of the equalizing adversary is
+    this program with the flipped bit.
     """
+    if source_message is None:
+        source_message = algorithm.source_message
     schedule = algorithm.schedule
     tree = algorithm.tree
     order = algorithm.topology.order
@@ -406,7 +410,7 @@ def lift_tree_phase(algorithm, codec: PayloadCodec,
         model=algorithm.model, codec=codec,
         transmit_schedule=transmit, listen_schedule=listen,
         initial_codes=_initial_codes(
-            order, algorithm.source, codec.code_of(algorithm.source_message)
+            order, algorithm.source, codec.code_of(source_message)
         ),
         default_code=codec.code_of(algorithm.default), adoption=adoption,
         watch=watch if algorithm.model == MESSAGE_PASSING else None,

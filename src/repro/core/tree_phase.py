@@ -225,11 +225,20 @@ class TreePhaseAlgorithm(Algorithm):
 
     def batch_program(self, codec):
         """Vectorised program replaying the phase schedule once."""
+        return self.counterfactual_batch_program(self._source_message, codec)
+
+    def counterfactual_batch_program(self, flipped_message: Any, codec):
+        """Batch counterpart of :meth:`counterfactual_source`.
+
+        The same program as :meth:`batch_program` with ``flipped_message``
+        as the source message (the batched equalizing adversary's twin).
+        """
         if self._batch_adoption is None:
             return None
         from repro.batchsim.programs import lift_tree_phase
 
-        return lift_tree_phase(self, codec, self._batch_adoption)
+        return lift_tree_phase(self, codec, self._batch_adoption,
+                               source_message=flipped_message)
 
     # -- helpers shared by protocols --------------------------------------
     def payload_targets(self, node: int) -> Tuple[int, ...]:

@@ -9,9 +9,10 @@ first.  The receiver's posterior then never moves off 1/2, so over a
 uniform source bit any decision rule errs half the time.
 
 The experiment runs Simple-Malicious on the 2-node graph under this
-adversary — one :class:`~repro.montecarlo.TrialRunner` engine batch per
-source bit (the adversary rebuilds its twin per execution, so a single
-instance serves the whole batch) — and checks the success rate is
+adversary — one :class:`~repro.montecarlo.TrialRunner` batch per source
+bit, on the batchsim tier (the twin is the algorithm's batch program
+with the flipped bit, advanced beside the real one; indicators are
+bit-identical to the scalar engine's) — and checks the success rate is
 statistically indistinguishable from 1/2 — catastrophically below the
 ``1 - 1/n`` bar — for ``p ∈ {0.5, 0.6, 0.75}``.
 """
@@ -54,8 +55,8 @@ def _describe_runner() -> TrialRunner:
         build=_describe_runner,
         topology="2-node graph",
         trials="200 / 800",
-        note="adaptive (history-dependent) adversary — the scalar "
-             "engine tier is the only exact backend",
+        note="adaptive (history-dependent) adversary — batchsim runs "
+             "its counterfactual twin as a flipped-bit batch program",
     )],
 )
 def run_e04(config: ExperimentConfig) -> ExperimentReport:

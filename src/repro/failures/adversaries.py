@@ -96,7 +96,8 @@ class SilentAdversary(_ObliviousAdversary):
         return frozenset({Restriction.FULL, Restriction.LIMITED})
 
     def batch_rewrite(self, round_index: int, faulty: np.ndarray,
-                      codes: np.ndarray, codec, model: str) -> np.ndarray:
+                      codes: np.ndarray, codec, model: str, *,
+                      twin: Optional[np.ndarray] = None) -> np.ndarray:
         return np.full_like(codes, -1)
 
 
@@ -136,7 +137,8 @@ class ComplementAdversary(_ObliviousAdversary):
         )
 
     def batch_rewrite(self, round_index: int, faulty: np.ndarray,
-                      codes: np.ndarray, codec, model: str) -> np.ndarray:
+                      codes: np.ndarray, codec, model: str, *,
+                      twin: Optional[np.ndarray] = None) -> np.ndarray:
         # Flip intended transmissions; silence stays silence (the flip
         # table maps -1 to -1), matching the scalar per-node loop.
         return codec.flip_codes(codes)
@@ -177,7 +179,8 @@ class RandomFlipAdversary(_ObliviousAdversary):
         )
 
     def batch_rewrite(self, round_index: int, faulty: np.ndarray,
-                      codes: np.ndarray, codec, model: str) -> np.ndarray:
+                      codes: np.ndarray, codec, model: str, *,
+                      twin: Optional[np.ndarray] = None) -> np.ndarray:
         return codec.flip_codes(codes)
 
 
@@ -223,7 +226,8 @@ class GarbageAdversary(_ObliviousAdversary):
         return frozenset({Restriction.FULL, Restriction.LIMITED})
 
     def batch_rewrite(self, round_index: int, faulty: np.ndarray,
-                      codes: np.ndarray, codec, model: str) -> np.ndarray:
+                      codes: np.ndarray, codec, model: str, *,
+                      twin: Optional[np.ndarray] = None) -> np.ndarray:
         garbage = np.int64(codec.code_of(self._garbage))
         return np.where(codes == -1, np.int64(-1), garbage)
 
@@ -259,7 +263,8 @@ class JammingAdversary(_ObliviousAdversary):
         return True
 
     def batch_rewrite(self, round_index: int, faulty: np.ndarray,
-                      codes: np.ndarray, codec, model: str) -> np.ndarray:
+                      codes: np.ndarray, codec, model: str, *,
+                      twin: Optional[np.ndarray] = None) -> np.ndarray:
         return np.full_like(codes, codec.code_of(self._noise))
 
     def batch_payloads(self) -> tuple:
@@ -320,7 +325,8 @@ class RadioWorstCaseAdversary(_ObliviousAdversary):
         return True
 
     def batch_rewrite(self, round_index: int, faulty: np.ndarray,
-                      codes: np.ndarray, codec, model: str) -> np.ndarray:
+                      codes: np.ndarray, codec, model: str, *,
+                      twin: Optional[np.ndarray] = None) -> np.ndarray:
         noise = np.int64(codec.code_of(self._noise))
         # General (multi-intent) attack: flip intended transmissions,
         # jam from intended silence.
@@ -430,6 +436,9 @@ class SlowingAdversary(Adversary):
     def batch_payloads(self) -> tuple:
         return self._inner.batch_payloads()
 
+    def batch_twin(self, algorithm, codec, metadata):
+        return self._inner.batch_twin(algorithm, codec, metadata)
+
     def thin_faulty_batch(self, trial_streams, masks):
         """Replay the per-trial slowing coins onto the faulty masks.
 
@@ -457,11 +466,12 @@ class SlowingAdversary(Adversary):
         return thinned
 
     def batch_rewrite(self, round_index: int, faulty: np.ndarray,
-                      codes: np.ndarray, codec, model: str) -> np.ndarray:
+                      codes: np.ndarray, codec, model: str, *,
+                      twin: Optional[np.ndarray] = None) -> np.ndarray:
         # thin_faulty_batch already released the lucky nodes from the
         # masks, so the surviving faulty set goes straight through.
         return self._inner.batch_rewrite(round_index, faulty, codes, codec,
-                                         model)
+                                         model, twin=twin)
 
     def describe(self) -> str:
         return (f"SlowingAdversary({self._inner.describe()}, "

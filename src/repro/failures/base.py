@@ -43,6 +43,10 @@ History-oblivious models additionally support the vectorised
   makes batched indicators bit-identical to scalar ones);
 * :meth:`FailureModel.apply_batch` — the vectorised counterpart of
   :meth:`apply`, operating on ``(batch, n)`` payload-code arrays.
+
+A history-dependent model joins them when its only use of the history
+is a counterfactual twin of the algorithm: :meth:`FailureModel.
+batch_twin` hands the batched execution that twin as a batch program.
 """
 
 from __future__ import annotations
@@ -216,17 +220,30 @@ class FailureModel(ABC):
         return masks
 
     def apply_batch(self, round_index: int, faulty: np.ndarray,
-                    codes: np.ndarray, codec, model: str) -> np.ndarray:
+                    codes: np.ndarray, codec, model: str, *,
+                    twin: Optional[np.ndarray] = None) -> np.ndarray:
         """Vectorised :meth:`apply` over ``(batch, n)`` payload codes.
 
         ``codes`` holds one payload code per (trial, node) with ``-1``
         for silence; the return value has the same shape and encoding.
-        Only models answering ``True`` from :meth:`supports_batch` need
-        to implement this.
+        ``twin`` carries the intent codes of the :meth:`batch_twin`
+        program, when there is one.  Only models answering ``True``
+        from :meth:`supports_batch` need to implement this.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support batched execution"
         )
+
+    def batch_twin(self, algorithm, codec, metadata: Dict[str, Any]):
+        """Counterfactual batch program the model's rewrite reads, or ``None``.
+
+        The batched execution advances a returned program beside the
+        real one and feeds its intents to :meth:`apply_batch`; that is
+        what lets a history-dependent model (``requires_history``) onto
+        the batchsim tier.  See :meth:`repro.failures.malicious.
+        Adversary.batch_twin`.
+        """
+        return None
 
     def batch_payloads(self) -> tuple:
         """Extra payloads this model can inject into an execution.
@@ -273,7 +290,8 @@ class FaultFree(FailureModel):
         return dict(intents)
 
     def apply_batch(self, round_index: int, faulty: np.ndarray,
-                    codes: np.ndarray, codec, model: str) -> np.ndarray:
+                    codes: np.ndarray, codec, model: str, *,
+                    twin: Optional[np.ndarray] = None) -> np.ndarray:
         return codes
 
 
@@ -308,5 +326,6 @@ class OmissionFailures(FailureModel):
         }
 
     def apply_batch(self, round_index: int, faulty: np.ndarray,
-                    codes: np.ndarray, codec, model: str) -> np.ndarray:
+                    codes: np.ndarray, codec, model: str, *,
+                    twin: Optional[np.ndarray] = None) -> np.ndarray:
         return np.where(faulty, np.int64(-1), codes)

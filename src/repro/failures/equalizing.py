@@ -16,13 +16,23 @@ exactly ``A_{1-Ms}(σ)`` from the proofs.
 
 Algorithms that want to face these adversaries implement
 :class:`SourceTwinnable` so the adversary can construct the twin.
+
+The message-passing adversary also runs on the vectorised
+:mod:`repro.batchsim` tier.  There the twin is the algorithm's own
+batch program built with the flipped source message
+(``counterfactual_batch_program``); the batched execution advances it
+beside the real program on the same deliveries, and
+:meth:`EqualizingMpAdversary.batch_rewrite` reads the source column of
+its intents.  The scalar :class:`CounterfactualTwin` stays the engine
+tier's reference.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, FrozenSet, Optional, Protocol as TypingProtocol
 
-from repro._validation import check_probability
+import numpy as np
+
 from repro.engine.protocol import MESSAGE_PASSING, RADIO, Protocol
 from repro.failures.malicious import Adversary
 
@@ -88,7 +98,34 @@ class CounterfactualTwin:
             self._rounds_fed += 1
 
 
-class EqualizingMpAdversary(Adversary):
+class _TwinningAdversary(Adversary):
+    """The scalar twin plumbing both equalizing adversaries share.
+
+    The twin belongs to the execution in flight, not to the adversary's
+    description, so it is left out of the pickled state: scenario
+    fingerprints (the service's memo keys) and the failure models
+    shipped to shard workers must not depend on which trial ran last.
+    """
+
+    _source: int
+    _twin: Optional[CounterfactualTwin]
+
+    @property
+    def source(self) -> int:
+        """The twinned source node ``s``."""
+        return self._source
+
+    def _ensure_twin(self, view) -> CounterfactualTwin:
+        self._twin = _fresh_twin_for(self._twin, self._source, view)
+        return self._twin
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        state["_twin"] = None
+        return state
+
+
+class EqualizingMpAdversary(_TwinningAdversary):
     """The Theorem 2.3 adversary for the two-node message-passing graph.
 
     Whenever the source is faulty, it transmits what the counterfactual
@@ -104,18 +141,13 @@ class EqualizingMpAdversary(Adversary):
     assumes the reverse channel is fully reliable).
     """
 
+    #: Deterministic given the twin, so the slowing reduction's
+    #: batched coin replay can wrap it.
+    consumes_adversary_stream = False
+
     def __init__(self, source: int = 0):
         self._source = source
-        self._twin: Optional[CounterfactualTwin] = None
-
-    @property
-    def source(self) -> int:
-        """The twinned source node."""
-        return self._source
-
-    def _ensure_twin(self, view) -> CounterfactualTwin:
-        self._twin = _fresh_twin_for(self._twin, self._source, view)
-        return self._twin
+        self._twin = None
 
     def rewrite(self, round_index: int, faulty: FrozenSet[int],
                 intents: Dict[int, Any], view) -> Dict[int, Any]:
@@ -132,8 +164,37 @@ class EqualizingMpAdversary(Adversary):
                     replacements[node] = intent
         return replacements
 
+    # -- batched execution ----------------------------------------------
+    def supports_batch(self, model: str) -> bool:
+        return True
 
-class EqualizingStarAdversary(Adversary):
+    def batch_twin(self, algorithm, codec, metadata: Dict[str, Any]):
+        """The algorithm's batch program with the flipped source message.
+
+        ``None`` — leaving the scenario to the engine tier, whose twin
+        raises the same errors it always did — when the algorithm has
+        no batched counterfactual, its source is not the twinned node,
+        or the source message is not a bit.
+        """
+        hook = getattr(algorithm, "counterfactual_batch_program", None)
+        message = metadata.get("source_message")
+        if (not callable(hook) or getattr(algorithm, "source", None)
+                != self._source or message not in (0, 1)):
+            return None
+        return hook(_flip(message), codec)
+
+    def batch_rewrite(self, round_index: int, faulty: np.ndarray,
+                      codes: np.ndarray, codec, model: str, *,
+                      twin: Optional[np.ndarray] = None) -> np.ndarray:
+        # A faulty source plays the twin's code (speaking or keeping
+        # silent as the twin does); every other faulty node keeps its
+        # own code, since the reverse channel stays reliable.
+        replacements = codes.copy()
+        replacements[:, self._source] = twin[:, self._source]
+        return replacements
+
+
+class EqualizingStarAdversary(_TwinningAdversary):
     """The Theorem 2.4 adversary on the star (source = a leaf).
 
     Let ``S`` be the set of steps in which the algorithm instructs the
@@ -165,21 +226,12 @@ class EqualizingStarAdversary(Adversary):
         self._source = source
         self._center = center
         self._noise = noise
-        self._twin: Optional[CounterfactualTwin] = None
-
-    @property
-    def source(self) -> int:
-        """The leaf source ``s`` the attack twins."""
-        return self._source
+        self._twin = None
 
     @property
     def center(self) -> int:
         """The star root ``v`` whose posterior the attack pins."""
         return self._center
-
-    def _ensure_twin(self, view) -> CounterfactualTwin:
-        self._twin = _fresh_twin_for(self._twin, self._source, view)
-        return self._twin
 
     def _in_critical_set(self, intents: Dict[int, Any], view) -> bool:
         """Whether this step belongs to the set ``S`` of the proof."""

@@ -118,14 +118,29 @@ class Adversary(ABC):
         """
         return masks
 
+    def batch_twin(self, algorithm, codec, metadata: Dict[str, Any]):
+        """Counterfactual batch program :meth:`batch_rewrite` reads, or ``None``.
+
+        A history-dependent adversary whose dependence on the past runs
+        only through a twin of the algorithm can hand the batched
+        execution that twin (a :class:`~repro.batchsim.programs.
+        BatchProgram` over ``codec``); the execution advances it beside
+        the real program on the same deliveries and passes its intents
+        to :meth:`batch_rewrite` as ``twin``.  The default has none.
+        """
+        return None
+
     def batch_rewrite(self, round_index: int, faulty: np.ndarray,
-                      codes: np.ndarray, codec, model: str) -> np.ndarray:
+                      codes: np.ndarray, codec, model: str, *,
+                      twin: Optional[np.ndarray] = None) -> np.ndarray:
         """Vectorised :meth:`rewrite` over ``(batch, n)`` payload codes.
 
         Returns the replacement codes of the *faulty* positions (the
         caller composes them with the untouched fault-free intents);
         entries at fault-free positions are ignored.  ``-1`` silences a
-        faulty node, matching a missing scalar replacement.
+        faulty node, matching a missing scalar replacement.  ``twin``
+        holds the round's intent codes of the :meth:`batch_twin`
+        program, when there is one.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support batched execution"
@@ -254,14 +269,18 @@ class MaliciousFailures(FailureModel):
         return self._adversary.thin_faulty_batch(trial_streams, masks)
 
     def apply_batch(self, round_index: int, faulty: np.ndarray,
-                    codes: np.ndarray, codec, model: str) -> np.ndarray:
+                    codes: np.ndarray, codec, model: str, *,
+                    twin: Optional[np.ndarray] = None) -> np.ndarray:
         replacements = self._adversary.batch_rewrite(
-            round_index, faulty, codes, codec, model
+            round_index, faulty, codes, codec, model, twin=twin
         )
         return np.where(faulty, replacements, codes)
 
     def batch_payloads(self) -> tuple:
         return self._adversary.batch_payloads()
+
+    def batch_twin(self, algorithm, codec, metadata):
+        return self._adversary.batch_twin(algorithm, codec, metadata)
 
     def apply(self, round_index: int, faulty: FrozenSet[int],
               intents: Dict[int, Any], view) -> Dict[int, Any]:

@@ -31,8 +31,8 @@ tier / backend tag  eligibility                     what runs             proces
                     (table below); default success  the success law       ``workers`` is
                     predicate only                  (root stream)         ignored (reports 1)
 ``batchsim``        no sampler matched; failure     the vectorised        contiguous trial
-                    model is history-oblivious      multi-trial engine:   chunks, one
-                    and ``supports_batch(model)``   all trials advance    ``BatchExecution``
+                    model answers                   multi-trial engine:   chunks, one
+                    ``supports_batch(model)``       all trials advance    ``BatchExecution``
                     (fault-free, omission with      together on stacked   per worker process
                     ``p`` or per-node ``p_v``,      ``(B, n)`` arrays;    (floor of 128
                     simple-malicious with a         indicators are        trials per chunk —
@@ -42,27 +42,31 @@ tier / backend tag  eligibility                     what runs             proces
                     incl. LIMITED/FLIP — and the    ``root.child("mc",    in index order, so
                     slowing reduction via           i)``)                 bit-identical for
                     per-trial adversary-stream                            any worker count
-                    replay); the algorithm
-                    implements ``batch_program()``
-                    / ``batch_payloads()`` (lift
+                    replay) and is history-
+                    oblivious or brings a batched
+                    counterfactual twin (the E04
+                    equalizing adversary); the
+                    algorithm implements
+                    ``batch_program()`` /
+                    ``batch_payloads()`` (lift
                     table below); default success
                     predicate only
 ``engine``          history-dependent failure       scalar reference      contiguous trial
-                    models (the adaptive            executions, one       shards (4 per
-                    equalizing adversaries,         trial at a time       worker, for load
-                    nested slowing wrappers),                             balancing) across
-                    custom success predicates,                            worker processes;
-                    algorithms without a batch                            bit-identical for
-                    program — or callers that                             any worker count
-                    deliberately pin it
-                    (``use_fastsim=False,
+                    models without a batched twin   executions, one       shards (4 per
+                    (equalizing-star off its        trial at a time       worker, for load
+                    sampler, nested slowing                               balancing) across
+                    wrappers), custom success                             worker processes;
+                    predicates, algorithms                                bit-identical for
+                    without a batch program — or                          any worker count
+                    callers that deliberately pin
+                    it (``use_fastsim=False,
                     use_batchsim=False``) for
                     engine-validation columns
 ==================  ==============================  ====================  ====================
 
 Every algorithm family in the library implements the batch interface,
 so the engine tier is *only* auto-dispatched for history-dependent
-failure models and custom success predicates.  The batchsim lift
+failure models without a batched twin and custom success predicates.  The batchsim lift
 families, by registered name and the algorithm classes they batch
 (behaviour summaries live in one place — the
 :func:`repro.batchsim.programs.registered_lifts` registry, rendered by

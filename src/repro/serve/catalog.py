@@ -16,7 +16,7 @@ family carries its ``experiments`` tag; the completeness is pinned by
 * fastsim-dispatched families (``simple-omission``, ``flooding``,
   ``equalizing-star``, ``layered-omission``, ...) — answered
   instantly, no coalescing needed;
-* batchsim/engine Monte-Carlo families (``windowed-malicious``,
+* batchsim Monte-Carlo families (``windowed-malicious``,
   ``kucera-flip``, ``equalizing-mp``, ...) — the expensive queries the
   coalescer collapses and the LRU memoises;
 * the one **exact** family (``layered-opt``, E10) — no Monte-Carlo at
@@ -189,7 +189,7 @@ def _build_simple_malicious_mp(p: float, n: int, *,
 @register_family(
     "equalizing-mp",
     "Two-node Simple-Malicious vs the history-dependent equalizing "
-    "adversary (Theorem 2.3 impossibility); scalar-engine Monte-Carlo",
+    "adversary (Theorem 2.3 impossibility); batchsim Monte-Carlo",
     size_meaning="phase length m (the graph is always the 2-node link)",
     experiments=("E04",),
 )

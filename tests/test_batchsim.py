@@ -6,8 +6,10 @@ reproduce the scalar engine's success indicator **trial for trial** —
 across both communication models, all supported failure models
 (fault-free, omission with scalar ``p`` and per-node ``p_v``,
 simple-malicious under every batchable oblivious adversary incl. the
-randomised slowing reduction's stream replay, and the LIMITED / FLIP
-restriction levels the adversaries certify), and every lifted protocol
+randomised slowing reduction's stream replay, the LIMITED / FLIP
+restriction levels the adversaries certify, and the adaptive
+equalizing adversary through its counterfactual twin program), and
+every lifted protocol
 family: the replayed-schedule relays, the hello timing channel, the
 windowed sliding-window acceptance, the label timetables and the
 Kučera compiled plans.  That identity is what lets
@@ -31,6 +33,7 @@ from repro.core.windowed import WindowedMalicious
 from repro.engine import MESSAGE_PASSING, RADIO, run_execution
 from repro.failures import (
     ComplementAdversary,
+    EqualizingMpAdversary,
     EqualizingStarAdversary,
     FaultFree,
     GarbageAdversary,
@@ -196,6 +199,14 @@ AGREEMENT_SCENARIOS = [
      lambda: WindowedMalicious(_tree(), 0, 1, window_length=4),
      lambda: MaliciousFailures(
          0.4, SlowingAdversary(GarbageAdversary(), 0.4, 0.25))),
+    # -- equalizing adversary (counterfactual twin program) -----------
+    ("equalizing-mp-tree",
+     lambda: SimpleMalicious(_tree(), 0, 1, MESSAGE_PASSING, 3),
+     lambda: MaliciousFailures(0.4, EqualizingMpAdversary(source=0))),
+    ("equalizing-radio-slowed-tree",
+     lambda: SimpleMalicious(_tree(), 0, 0, RADIO, 3),
+     lambda: MaliciousFailures(
+         0.7, SlowingAdversary(EqualizingMpAdversary(source=0), 0.7, 0.5))),
 ]
 
 
@@ -245,6 +256,13 @@ SHARDED_SCENARIOS = [
     ("slowing-silent-radio-tree",
      partial(SimpleMalicious, binary_tree(3), 0, 1, RADIO, 5),
      MaliciousFailures(0.4, SlowingAdversary(SilentAdversary(), 0.4, 0.2))),
+    ("equalizing-mp",
+     partial(SimpleMalicious, two_node(), 0, 1, MESSAGE_PASSING, 15),
+     MaliciousFailures(0.5, EqualizingMpAdversary(source=0))),
+    ("equalizing-mp-slowed",
+     partial(SimpleMalicious, two_node(), 0, 0, MESSAGE_PASSING, 15),
+     MaliciousFailures(
+         0.75, SlowingAdversary(EqualizingMpAdversary(source=0), 0.75, 0.5))),
 ]
 
 #: Enough trials that ``workers=4`` actually cuts four chunks
@@ -314,7 +332,56 @@ class TestTrialForTrialAgreement:
         np.testing.assert_array_equal(whole, slivers)
 
 
+def _equalizing_mp(p, message, m):
+    """The E04 scenario: two-node Simple-Malicious, slowed above 1/2."""
+    adversary = EqualizingMpAdversary(source=0)
+    if p > 0.5:
+        adversary = SlowingAdversary(adversary, p, 0.5)
+    return (partial(SimpleMalicious, two_node(), 0, message,
+                    MESSAGE_PASSING, m),
+            MaliciousFailures(p, adversary))
+
+
+@pytest.mark.parametrize("m", [1, 4, 15])
+@pytest.mark.parametrize("message", [0, 1])
+@pytest.mark.parametrize("p", [0.3, 0.45, 0.5, 0.6, 0.75])
+def test_equalizing_mp_batchsim_equals_engine(p, message, m):
+    """The batched twin reproduces the engine's adaptive adversary."""
+    factory, failure = _equalizing_mp(p, message, m)
+    batched = TrialRunner(factory, failure).run(TRIALS, SEED)
+    engine = TrialRunner(factory, failure, use_batchsim=False).run(
+        TRIALS, SEED)
+    assert (batched.backend, engine.backend) == ("batchsim", "engine")
+    np.testing.assert_array_equal(batched.indicators, engine.indicators)
+
+
 class TestEligibility:
+    def test_equalizing_mp_needs_a_batched_counterfactual(self):
+        # LayeredScheduleBroadcast has a batch program but no
+        # counterfactual_source: the adversary brings no twin, so the
+        # scenario stays on the engine and fails exactly as it did.
+        failure = MaliciousFailures(
+            0.9, EqualizingMpAdversary(source=_layered().graph.source))
+        assert failure.requires_history
+        assert not supports_batchsim(_layered(), failure)
+        runner = TrialRunner(_layered, failure, use_fastsim=False)
+        assert runner.dispatch_backend() == "engine"
+        with pytest.raises(TypeError, match="counterfactual_source"):
+            runner.run(8, SEED)
+
+    def test_equalizing_mp_twin_must_match_the_scalar_one(self):
+        # The batched twin is the algorithm's source with the flipped
+        # bit; a non-bit message or a twinned node other than the
+        # source has no such counterpart, so the engine keeps them.
+        failure = MaliciousFailures(0.9, EqualizingMpAdversary(source=0))
+        algorithm = SimpleMalicious(two_node(), 0, "x", MESSAGE_PASSING, 3,
+                                    default="y")
+        assert not supports_batchsim(algorithm, failure)
+        assert not supports_batchsim(
+            SimpleMalicious(two_node(), 0, 1, MESSAGE_PASSING, 3),
+            MaliciousFailures(0.9, EqualizingMpAdversary(source=1)),
+        )
+
     def test_supported_scenarios(self):
         assert supports_batchsim(
             SimpleOmission(_tree(), 0, 1, RADIO, 2), OmissionFailures(0.3)

@@ -1,5 +1,7 @@
 """Tests for the counterfactual equalizing adversaries (Thms 2.3, 2.4)."""
 
+import pickle
+
 import pytest
 
 from repro.core import SimpleMalicious
@@ -132,3 +134,21 @@ class TestEqualizingStar:
         # posterior pinned at 1/2 at the center; downstream decisions can
         # only lose more — far below almost-safe (1 - 1/n = 0.75)
         assert successes / trials < 0.7
+
+
+@pytest.mark.parametrize("make_adversary", [
+    lambda: EqualizingMpAdversary(source=0),
+    lambda: EqualizingStarAdversary(source=0, center=1),
+])
+def test_pickled_state_leaves_out_the_twin(make_adversary):
+    # The twin (and the trace it holds) belongs to the last execution:
+    # pickles of a used adversary match those of a fresh one, so memo
+    # keys stay put and shard workers receive no stale history.
+    used = make_adversary()
+    topology = star(2, source_is_center=False)
+    algorithm = SimpleMalicious(topology, 0, 1, model=RADIO, phase_length=5)
+    run_execution(algorithm, MaliciousFailures(0.9, used), 3,
+                  metadata=algorithm.metadata())
+    assert used._twin is not None
+    assert pickle.dumps(used) == pickle.dumps(make_adversary())
+    assert pickle.loads(pickle.dumps(used))._twin is None

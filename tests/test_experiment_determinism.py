@@ -18,11 +18,22 @@ Two pins:
   index, never on the sharding.
 """
 
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.core.simple_malicious import SimpleMalicious
+from repro.engine.protocol import MESSAGE_PASSING
 from repro.experiments import ExperimentConfig, run_experiment
+from repro.failures import (
+    EqualizingMpAdversary,
+    MaliciousFailures,
+    SlowingAdversary,
+)
+from repro.graphs import two_node
+from repro.montecarlo import TrialRunner
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SEED = 2007
@@ -36,11 +47,12 @@ ALL_EXPERIMENTS = [f"E{i:02d}" for i in range(1, 16)]
 #: re-pinned and now certifies the post-refactor draws instead.
 PRE_MIGRATION_GOLDENS = {"E09", "E13", "E14"}
 
-#: Migrated runners cheap enough to re-run with a process pool.  E04
-#: keeps the engine tier (its equalizing adversary is adaptive), so it
-#: exercises the sharded path for real; the vectorised runners — E13
-#: and E14 now dispatch to batchsim — prove the worker knob cannot
-#: leak into the sampler draws or the batched stream replay.
+#: Migrated runners cheap enough to re-run with a process pool.  They
+#: all dispatch to fastsim or batchsim (E04's equalizing adversary
+#: through its batched counterfactual twin), so they prove the worker
+#: knob cannot leak into the sampler draws or the batched stream
+#: replay; the sharded engine path is pinned by
+#: ``test_engine_pinned_e04_invariant_across_workers`` below.
 WORKER_INVARIANT_EXPERIMENTS = ["E04", "E05", "E06", "E08", "E11", "E13",
                                 "E14"]
 
@@ -83,3 +95,24 @@ def test_batchsim_promoted_report_matches_golden_under_workers(experiment_id):
     golden_path = GOLDEN_DIR / f"{experiment_id}_quick_seed{SEED}.txt"
     assert _render(experiment_id, workers=4) + "\n" == \
         golden_path.read_text()
+
+
+@pytest.mark.parametrize("p", [0.5, 0.6])
+def test_engine_pinned_e04_invariant_across_workers(p):
+    # E04's runner shape pinned to the scalar engine: four workers cut
+    # real engine shards, and the indicators must not notice.
+    adversary = EqualizingMpAdversary(source=0)
+    if p > 0.5:
+        adversary = SlowingAdversary(adversary, p, 0.5)
+    results = [
+        TrialRunner(
+            partial(SimpleMalicious, two_node(), 0, 1, MESSAGE_PASSING, 15),
+            MaliciousFailures(p, adversary),
+            use_batchsim=False, workers=workers,
+        ).run(100, SEED)
+        for workers in (1, 4)
+    ]
+    assert [r.backend for r in results] == ["engine", "engine"]
+    assert [r.workers for r in results] == [1, 4]
+    np.testing.assert_array_equal(results[0].indicators,
+                                  results[1].indicators)

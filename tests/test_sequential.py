@@ -36,12 +36,13 @@ from repro.core.radio_repeat import ADOPT_ANY, ADOPT_MAJORITY, RadioRepeat
 from repro.engine import MESSAGE_PASSING, RADIO
 from repro.failures import (
     ComplementAdversary,
+    EqualizingMpAdversary,
     EqualizingStarAdversary,
     MaliciousFailures,
     OmissionFailures,
     RadioWorstCaseAdversary,
 )
-from repro.graphs import binary_tree, layered_graph, line, star
+from repro.graphs import binary_tree, layered_graph, line, star, two_node
 from repro.montecarlo import (
     SEQUENTIAL_BOUNDS,
     TrialRunner,
@@ -179,6 +180,24 @@ class TestPrefixIdentityAcrossBackends:
         fixed = TrialRunner(mp_factory, OMISSION, use_fastsim=False,
                             use_batchsim=False).run(512, 13)
         assert outcome.backend == "engine"
+        np.testing.assert_array_equal(
+            outcome.indicators, fixed.indicators[:outcome.trials]
+        )
+
+    def test_equalizing_mp_prefix(self):
+        # The adaptive equalizing adversary runs on batchsim through its
+        # counterfactual twin program; every extension must still be a
+        # prefix of the engine's fixed-budget vector.
+        factory = partial(SimpleMalicious, two_node(), 0, 1,
+                          MESSAGE_PASSING, 4)
+        failure = MaliciousFailures(0.5, EqualizingMpAdversary(source=0))
+        runner = TrialRunner(factory, failure)
+        assert runner.sequential_backend() == "batchsim"
+        outcome = runner.run_until(0.2, 1024, 9, initial_trials=64)
+        fixed = TrialRunner(factory, failure, use_batchsim=False).run(
+            1024, 9
+        )
+        assert outcome.backend == "batchsim" and len(outcome.steps) > 1
         np.testing.assert_array_equal(
             outcome.indicators, fixed.indicators[:outcome.trials]
         )

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import repro.batchsim.engine as engine_module
 from repro.experiments.registry import all_families, get_family, resolve_scenario
-from repro.montecarlo import scenario_fingerprint
+from repro.montecarlo import TrialRunner, scenario_fingerprint
 from repro.obs import render_prometheus, use_registry
 from repro.serve import (
     Coalescer,
@@ -88,11 +88,27 @@ class TestFingerprint:
 
         assert run(scenario()) == before
 
+    def test_equalizing_engine_run_does_not_rekey(self):
+        """An engine run on the shared adversary keeps the memo key.
+
+        Regression: the equalizing adversary's per-execution twin (and
+        through it the last trial's trace) was pickled into the
+        fingerprint, so each engine run re-keyed the query and repeats
+        missed the memo.
+        """
+        service = SimulationService()
+        query = Query("equalizing-mp", 0.5, 4, 64, seed=3)
+        before = service.fingerprint(query)
+        runner = service._resolve(query)
+        TrialRunner(runner.algorithm_factory, runner.failure_model,
+                    use_batchsim=False).run(64, 3)
+        assert runner.failure_model.adversary._twin is not None
+        assert service.fingerprint(query) == before
+
 
 class TestResultCache:
     def _result(self, seed=0):
         factory, model = resolve_scenario("simple-omission", 0.1, 2, {})
-        from repro.montecarlo import TrialRunner
         return TrialRunner(factory, model).run(8, seed)
 
     def test_miss_then_hit(self):

@@ -43,7 +43,7 @@ SAMPLES = {
     "simple-omission-radio": (0.3, 2, {}, "fastsim:simple-omission"),
     "hetero-omission": (0.5, 2, {}, "fastsim:simple-omission"),
     "simple-malicious-mp": (0.2, 2, {}, "fastsim:simple-malicious-mp"),
-    "equalizing-mp": (0.3, 6, {}, "engine"),
+    "equalizing-mp": (0.3, 6, {}, "batchsim"),
     "malicious-radio-star": (0.1, 4, {}, "fastsim:simple-malicious-radio"),
     "equalizing-star": (0.3, 4, {}, "fastsim:equalizing-star"),
     "windowed-malicious": (0.25, 2, {}, "batchsim"),
